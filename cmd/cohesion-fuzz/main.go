@@ -13,7 +13,6 @@
 //	cohesion-fuzz -replay repro.json -shrink=false  # replay without shrinking
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt  # interruptible batch
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt -resume
-//	cohesion-fuzz -checkpoint-stress 3              # verify checkpoint/restore determinism
 package main
 
 import (
@@ -60,7 +59,6 @@ func main() {
 
 		checkpoint = flag.String("checkpoint", "", "persist batch progress (counters, coverage) to this file at each chunk boundary, crash-safely")
 		resume     = flag.Bool("resume", false, "resume the batch recorded in -checkpoint, skipping completed iterations")
-		ckptStress = flag.Int("checkpoint-stress", 0, "instead of fuzzing, verify checkpoint/restore determinism: per program, replay-and-verify at N random event counts (0 = off)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -151,32 +149,6 @@ func main() {
 			InjectCorrupt:     *corrupt,
 			TraceRing:         *traceN,
 		}
-	}
-
-	if *ckptStress > 0 {
-		// Checkpoint-stress mode: instead of hunting protocol bugs, each
-		// program is killed-and-restored (replay + digest verification) at
-		// N random event counts, and every restore must be bit-identical.
-		for i := 0; i < *iters; i++ {
-			if ctx.Err() != nil {
-				fmt.Printf("interrupted after %d of %d checkpoint-stress programs\n", i, *iters)
-				exit(130)
-			}
-			cfg := cfgAt(i)
-			p, err := stress.Generate(cfg)
-			if err != nil {
-				fatal("%v", err)
-			}
-			rep, err := stress.CheckpointStress(p, *ckptStress, cfg.Seed)
-			if err != nil {
-				fmt.Printf("iter %d (seed %d, mode %s) checkpoint-stress FAILED:\n  %v\n", i, cfg.Seed, cfg.Mode, err)
-				exit(1)
-			}
-			fmt.Printf("iter %d (seed %d, mode %s): %d/%d depths bit-identical over %d events\n",
-				i, cfg.Seed, cfg.Mode, rep.Verified, len(rep.Depths), rep.BaseEvents)
-		}
-		fmt.Printf("%d programs: checkpoint/restore verified at every probed depth\n", *iters)
-		exit(0)
 	}
 
 	// Batch checkpointing: progress is persisted at chunk boundaries, so a

@@ -15,9 +15,10 @@
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text metrics
 //
-// On SIGTERM/SIGINT the server drains gracefully: intake stops (503),
-// running jobs write a final checkpoint and stop, and a restart on the
-// same -state directory resumes every unfinished job bit-identically.
+// On SIGTERM/SIGINT the server drains gracefully: intake stops (503) and
+// running jobs stop. A restart on the same -state directory (after a
+// drain or a crash) reruns every unfinished job; runs are deterministic,
+// so the results are bit-identical.
 //
 // Exit codes: 0 clean drain, 1 startup or serve failure, 2 flag error.
 package main
@@ -38,10 +39,9 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		state        = flag.String("state", "", "state directory for job records and checkpoints (required)")
+		state        = flag.String("state", "", "state directory for job records (required)")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 16, "admission queue depth beyond the workers")
-		ckptEvery    = flag.Uint64("checkpoint-every", 25_000, "events between crash-safe run checkpoints")
 		maxEvents    = flag.Uint64("max-events", 0, "server-wide per-job event budget ceiling (0 = none)")
 		maxWall      = flag.Duration("max-wall", 0, "server-wide per-job wall-clock ceiling (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM")
@@ -63,11 +63,10 @@ func main() {
 	defer stop()
 
 	err := cohesion.Serve(ctx, cohesion.ServeOptions{
-		Addr:            *addr,
-		StateDir:        *state,
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CheckpointEvery: *ckptEvery,
+		Addr:       *addr,
+		StateDir:   *state,
+		Workers:    *workers,
+		QueueDepth: *queue,
 		MaxJobLimits: cohesion.RunLimits{
 			MaxEvents:  *maxEvents,
 			WallBudget: *maxWall,

@@ -8,8 +8,9 @@
 //	cohesion-sim -kernel stencil -mode swcc -clusters 16 -scale 4 -verify
 //	cohesion-sim -kernel kmeans -mode hwcc -table3   # full 1024-core machine
 //	cohesion-sim -kernel heat -faults -fault-seed 7  # fault injection + recovery
-//	cohesion-sim -kernel heat -checkpoint run.ckpt -checkpoint-every 100000
-//	cohesion-sim -resume run.ckpt                    # continue an interrupted run
+//
+// Runs are deterministic: an interrupted run is simply run again with the
+// same flags and comes out bit-identical.
 package main
 
 import (
@@ -58,10 +59,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "whole-command wall-clock deadline (0 = none); hitting it cancels the run like SIGINT")
 		maxEvents = flag.Uint64("max-events", 0, "deterministic event budget (0 = none); same seed + budget reproduces the same partial result")
 		maxWall   = flag.Duration("max-wall", 0, "wall-clock run budget (0 = none); non-reproducible stop point")
-
-		checkpoint = flag.String("checkpoint", "", "write crash-safe snapshots to this file (atomic temp+rename); a budget or SIGINT stop always checkpoints")
-		ckptEvery  = flag.Uint64("checkpoint-every", 0, "also checkpoint every N executed events (deterministic; needs -checkpoint or -resume)")
-		resume     = flag.String("resume", "", "resume from this snapshot file; the machine and kernel come from the snapshot, so machine flags are ignored")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -149,43 +146,19 @@ func main() {
 	if *edges {
 		cov = cohesion.NewCoverage()
 	}
-	var res *cohesion.Result
-	var err error
-	switch {
-	case *resume != "":
-		// The snapshot records the machine, kernel, seeds, and verify
-		// choice; only lifecycle and observability flags apply here.
-		var info *cohesion.ResumeInfo
-		res, info, err = cohesion.ResumeRun(ctx, *resume, cohesion.ResumeOptions{
-			Every:    *ckptEvery,
-			Limits:   cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
-			Coverage: cov,
-			Metrics:  *metrics,
-		})
-		if info != nil {
-			fmt.Fprintf(os.Stderr, "cohesion-sim: resumed from %s at event %d (cycle %d)\n",
-				info.Source, info.Events, info.Cycle)
-		}
-	default:
-		rc := cohesion.RunConfig{
-			Machine:       cfg,
-			Kernel:        *kernel,
-			Scale:         *scale,
-			Seed:          *seed,
-			Workers:       *workers,
-			Verify:        *verify,
-			TraceCapacity: *traceN,
-			TraceSink:     sink,
-			Coverage:      cov,
-			Metrics:       *metrics,
-			Limits:        cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
-		}
-		if *checkpoint != "" {
-			res, err = cohesion.RunWithCheckpoints(ctx, rc, cohesion.CheckpointConfig{Path: *checkpoint, Every: *ckptEvery})
-		} else {
-			res, err = cohesion.RunCtx(ctx, rc)
-		}
-	}
+	res, err := cohesion.RunCtx(ctx, cohesion.RunConfig{
+		Machine:       cfg,
+		Kernel:        *kernel,
+		Scale:         *scale,
+		Seed:          *seed,
+		Workers:       *workers,
+		Verify:        *verify,
+		TraceCapacity: *traceN,
+		TraceSink:     sink,
+		Coverage:      cov,
+		Metrics:       *metrics,
+		Limits:        cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
+	})
 	if err != nil {
 		exitEarly(res, err, *cpuprofile, *memprofile)
 	}
@@ -295,10 +268,9 @@ func emitJSON(res *cohesion.Result) {
 // SIGTERM, -timeout) and budget-exhausted runs are graceful degradations:
 // the partial stats and memory fingerprint are printed before exiting with
 // a distinguishing code (130 for canceled, matching shell convention for
-// SIGINT; 3 for an exhausted budget; 4 for a resume that diverged from
-// its snapshot). Everything else is a plain failure. The error text
-// carries the diagnostic snapshot (unfinished cores, trace ring tail), so
-// it goes to stderr in full.
+// SIGINT; 3 for an exhausted budget). Everything else is a plain failure.
+// The error text carries the diagnostic snapshot (unfinished cores, trace
+// ring tail), so it goes to stderr in full.
 func exitEarly(res *cohesion.Result, err error, cpuprofile, memprofile string) {
 	code := 1
 	switch {
@@ -306,8 +278,6 @@ func exitEarly(res *cohesion.Result, err error, cpuprofile, memprofile string) {
 		code = 130
 	case errors.Is(err, cohesion.ErrBudgetExhausted):
 		code = 3
-	case errors.Is(err, cohesion.ErrDiverged):
-		code = 4
 	}
 	fmt.Fprintf(os.Stderr, "cohesion-sim: %v\n", err)
 	if res != nil {

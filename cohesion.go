@@ -271,8 +271,8 @@ func (p *Prepared) Simulate(ctx context.Context) error { return p.p.simulate(ctx
 func (p *Prepared) Finalize() (*Result, error) { return p.p.finalize() }
 
 // preparedRun is an assembled machine with its kernel spawned, ready to
-// simulate. The checkpoint layer prepares runs separately from executing
-// them so a resume can install its checkpoint callback in between.
+// simulate. Prepared exposes it so harnesses can time assembly and
+// simulation separately.
 type preparedRun struct {
 	rc   RunConfig
 	m    *machine.Machine

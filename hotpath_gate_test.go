@@ -2,6 +2,7 @@ package cohesion
 
 import (
 	"context"
+	"maps"
 	"testing"
 )
 
@@ -64,12 +65,10 @@ func TestRunAllocsPerEventGate(t *testing.T) {
 // retryable requests, so network records and transactions are retired
 // and reissued out of the usual lockstep — and demands bit-identical
 // outcomes: three straight runs must agree on fingerprint, event count,
-// and cycle count, and a run interrupted at three interior depths must
-// resume from its snapshot to the same fingerprint (SelfCheckResume
-// verifies the replayed per-layer digests at the resume point). A pooled
-// record leaking state between lives would diverge one of these legs.
-// The kernel suite runs this under -race in CI, covering the pools'
-// aliasing discipline as well.
+// cycle count, the digest over every cumulative stats counter, and the
+// per-edge protocol coverage counts. A pooled record leaking state
+// between lives would diverge one of these. The kernel suite runs this
+// under -race in CI, covering the pools' aliasing discipline as well.
 func TestPooledRecyclingDeterminism(t *testing.T) {
 	for _, mode := range []Mode{HWcc, Cohesion} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -77,8 +76,14 @@ func TestPooledRecyclingDeterminism(t *testing.T) {
 			cfg := ScaledConfig(2).WithMode(mode)
 			cfg.Faults = DefaultFaultPlan(99)
 			rc := RunConfig{Machine: cfg, Kernel: "cg", Scale: 1, Seed: 7, Verify: true}
+			run := func() (*Result, map[string]uint64, error) {
+				r := rc
+				r.Coverage = NewCoverage()
+				res, err := RunCtx(context.Background(), r)
+				return res, r.Coverage.CountsByName(), err
+			}
 
-			ref, err := RunCtx(context.Background(), rc)
+			ref, refEdges, err := run()
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -86,7 +91,7 @@ func TestPooledRecyclingDeterminism(t *testing.T) {
 				t.Fatalf("fault plan injected no drops or duplicates; the recycling stress is vacuous")
 			}
 			for i := 0; i < 2; i++ {
-				res, err := RunCtx(context.Background(), rc)
+				res, edges, err := run()
 				if err != nil {
 					t.Fatalf("repeat run %d: %v", i, err)
 				}
@@ -97,14 +102,12 @@ func TestPooledRecyclingDeterminism(t *testing.T) {
 						i, res.MemFingerprint, ref.MemFingerprint,
 						res.Stats.Events, ref.Stats.Events, res.Cycles(), ref.Cycles())
 				}
-			}
-
-			report, err := SelfCheckResume(context.Background(), rc, 3, t.TempDir())
-			if err != nil {
-				t.Fatalf("SelfCheckResume under faults: %v", err)
-			}
-			if report.Resumed != len(report.Depths) || len(report.Depths) < 3 {
-				t.Fatalf("resumed %d of depths %v, want 3 clean resumes", report.Resumed, report.Depths)
+				if got, want := res.Stats.Digest(), ref.Stats.Digest(); got != want {
+					t.Fatalf("repeat run %d: stats digest %#x, reference %#x", i, got, want)
+				}
+				if !maps.Equal(edges, refEdges) {
+					t.Fatalf("repeat run %d: edge coverage %v, reference %v", i, edges, refEdges)
+				}
 			}
 		})
 	}

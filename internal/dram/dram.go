@@ -172,8 +172,7 @@ func (s *Store) tblLinesTouched() int {
 // LinesTouched reports how many distinct lines have ever been written.
 func (s *Store) LinesTouched() int { return len(s.lines) + s.tblLinesTouched() }
 
-// Lines returns every written line in address order (the checkpoint layer
-// serializes the image line by line).
+// Lines returns every written line in address order.
 func (s *Store) Lines() []addr.Line {
 	lines := make([]addr.Line, 0, len(s.lines)+s.tblLinesTouched())
 	for line := range s.lines {

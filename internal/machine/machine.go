@@ -68,12 +68,6 @@ type Machine struct {
 	// through the event stack, and SimulateCtx returns it. The loop's
 	// only steady-state cost is one nil compare per event.
 	stop *simerr.Error
-
-	// ckpt, when set via SetCheckpointFunc, is invoked between events
-	// whenever the controller's deterministic checkpoint schedule comes
-	// due, and once more before a lifecycle stop returns (while program
-	// coroutines are still parked, before Shutdown).
-	ckpt func(events, cycle uint64) error
 }
 
 // New builds a machine from a validated configuration.
@@ -437,23 +431,7 @@ func (m *Machine) SimulateCtx(ctx context.Context, maxCycles uint64, lim runctl.
 		}
 		if ctl != nil {
 			if s := ctl.Check(m.Q.Fired(), uint64(m.Q.Now())); s != nil {
-				if m.ckpt != nil {
-					// Checkpoint-on-stop: capture the partial state before
-					// abortError stamps the stats and before the deferred
-					// Shutdown tears the core coroutines down, so the
-					// snapshot is bit-identical to a periodic checkpoint at
-					// the same event count. A failed write must not mask
-					// the stop sentinel.
-					if cerr := m.ckpt(m.Q.Fired(), uint64(m.Q.Now())); cerr != nil {
-						return errors.Join(m.abortError(s), fmt.Errorf("machine: checkpoint at stop: %w", cerr))
-					}
-				}
 				return m.abortError(s)
-			}
-			if m.ckpt != nil && ctl.CheckpointDue(m.Q.Fired()) {
-				if cerr := m.ckpt(m.Q.Fired(), uint64(m.Q.Now())); cerr != nil {
-					return fmt.Errorf("machine: checkpoint at event %d: %w", m.Q.Fired(), cerr)
-				}
 			}
 		}
 		// The limit guards against runaway runs; housekeeping stragglers

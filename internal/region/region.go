@@ -58,12 +58,6 @@ func (t *CoarseTable) Contains(a addr.Addr) bool {
 // Len reports the number of registered ranges.
 func (t *CoarseTable) Len() int { return len(t.ranges) }
 
-// Ranges returns a copy of the registered ranges in registration order
-// (the checkpoint layer serializes and digests them).
-func (t *CoarseTable) Ranges() []addr.Range {
-	return append([]addr.Range(nil), t.ranges...)
-}
-
 // bankShift is the low bit of the bank-select field in a byte address:
 // addr[10..0] stay within one bank row (the paper's DRAM-row stride), and
 // the next log2(banks) bits pick the L3 bank.

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"cohesion/internal/simerr"
@@ -61,25 +60,14 @@ type Limits struct {
 	// CheckEvery overrides the amortization interval for the
 	// non-deterministic checks. 0 = DefaultCheckEvery.
 	CheckEvery uint64
-
-	// CheckpointEvery asks for a checkpoint after every multiple of this
-	// many executed events (deterministic: the schedule is a pure function
-	// of the event count, so a checkpointed run's stop and snapshot points
-	// replay identically). 0 = no periodic checkpoints.
-	CheckpointEvery uint64
-
-	// CheckpointAt asks for one checkpoint at each listed event count
-	// (deterministic; sorted and deduplicated by New). The resume layer
-	// uses it to re-capture state at a snapshot's exact event count.
-	CheckpointAt []uint64
 }
 
 // Clamp tightens lim so no budget exceeds the corresponding ceiling: for
 // each budget field, a non-zero ceiling replaces an unset (zero) or
 // looser limit. Supervising layers — the job service admitting
 // client-requested budgets — use it to impose server-wide caps without
-// inspecting individual fields. Checkpoint scheduling fields are not
-// budgets and pass through untouched.
+// inspecting individual fields. CheckEvery is not a budget and passes
+// through untouched.
 func Clamp(lim, ceiling Limits) Limits {
 	if ceiling.MaxEvents != 0 && (lim.MaxEvents == 0 || lim.MaxEvents > ceiling.MaxEvents) {
 		lim.MaxEvents = ceiling.MaxEvents
@@ -98,8 +86,7 @@ func Clamp(lim, ceiling Limits) Limits {
 
 // active reports whether any budget is set.
 func (l Limits) active() bool {
-	return l.MaxEvents != 0 || l.MaxCycles != 0 || l.WallBudget != 0 || l.MemSoftBytes != 0 ||
-		l.CheckpointEvery != 0 || len(l.CheckpointAt) != 0
+	return l.MaxEvents != 0 || l.MaxCycles != 0 || l.WallBudget != 0 || l.MemSoftBytes != 0
 }
 
 // Stop is a controller's verdict that the run must end.
@@ -126,10 +113,6 @@ type Controller struct {
 	every     uint64 // amortization interval
 	countdown uint64 // events until the next amortized check
 	memIn     int    // amortized checks until the next ReadMemStats
-
-	ckptEvery uint64   // periodic checkpoint interval (0 = none)
-	nextEvery uint64   // next periodic checkpoint event count
-	ckptAt    []uint64 // one-shot checkpoint event counts, ascending
 }
 
 // New builds a controller, or returns nil when there is nothing to
@@ -156,41 +139,7 @@ func New(ctx context.Context, lim Limits) *Controller {
 	if lim.WallBudget > 0 {
 		c.deadline = time.Now().Add(lim.WallBudget)
 	}
-	if lim.CheckpointEvery > 0 {
-		c.ckptEvery = lim.CheckpointEvery
-		c.nextEvery = lim.CheckpointEvery
-	}
-	if len(lim.CheckpointAt) > 0 {
-		at := append([]uint64(nil), lim.CheckpointAt...)
-		sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
-		for _, n := range at {
-			if n != 0 && (len(c.ckptAt) == 0 || c.ckptAt[len(c.ckptAt)-1] != n) {
-				c.ckptAt = append(c.ckptAt, n)
-			}
-		}
-	}
 	return c
-}
-
-// CheckpointDue reports whether a deterministic checkpoint is scheduled
-// at exactly this executed-event count, consuming the schedule entry. The
-// machine calls it between events (after Check has allowed the run to
-// continue), with fired increasing by one per call, so periodic
-// checkpoints land at exact multiples of CheckpointEvery and one-shot
-// points fire exactly once.
-func (c *Controller) CheckpointDue(fired uint64) bool {
-	due := false
-	if c.ckptEvery != 0 && fired >= c.nextEvery {
-		for c.nextEvery <= fired {
-			c.nextEvery += c.ckptEvery
-		}
-		due = true
-	}
-	for len(c.ckptAt) > 0 && fired >= c.ckptAt[0] {
-		c.ckptAt = c.ckptAt[1:]
-		due = true
-	}
-	return due
 }
 
 // Check is called after every executed event with the cumulative event

@@ -101,17 +101,14 @@ func TestClamp(t *testing.T) {
 		{"tighter budgets survive",
 			Limits{MaxEvents: 5, MaxCycles: 7, WallBudget: time.Millisecond, MemSoftBytes: 16},
 			Limits{MaxEvents: 5, MaxCycles: 7, WallBudget: time.Millisecond, MemSoftBytes: 16}},
-		{"checkpoint schedule passes through",
-			Limits{CheckpointEvery: 9, CheckpointAt: []uint64{3}},
-			Limits{MaxEvents: 100, MaxCycles: 1000, WallBudget: time.Second, MemSoftBytes: 1 << 20,
-				CheckpointEvery: 9, CheckpointAt: []uint64{3}}},
+		{"check interval passes through",
+			Limits{CheckEvery: 9},
+			Limits{MaxEvents: 100, MaxCycles: 1000, WallBudget: time.Second, MemSoftBytes: 1 << 20, CheckEvery: 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := Clamp(tc.in, ceiling)
-			if got.MaxEvents != tc.want.MaxEvents || got.MaxCycles != tc.want.MaxCycles ||
-				got.WallBudget != tc.want.WallBudget || got.MemSoftBytes != tc.want.MemSoftBytes ||
-				got.CheckpointEvery != tc.want.CheckpointEvery || len(got.CheckpointAt) != len(tc.want.CheckpointAt) {
+			if got != tc.want {
 				t.Fatalf("Clamp = %+v, want %+v", got, tc.want)
 			}
 		})

@@ -42,6 +42,8 @@ func (m *Metrics) rejected() {
 	m.mu.Unlock()
 }
 
+// resumed counts a job recovered from a previous process's state dir
+// as it is rerun.
 func (m *Metrics) resumed() {
 	m.mu.Lock()
 	m.resumedTotal++

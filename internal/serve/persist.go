@@ -81,14 +81,6 @@ func removeRecord(stateDir, id string) error {
 	return err
 }
 
-// removeCheckpoint deletes a job's run checkpoint pair, ignoring
-// missing files.
-func removeCheckpoint(stateDir, id string) {
-	path := ckptPath(stateDir, id)
-	_ = os.Remove(path)
-	_ = os.Remove(snapshot.TmpPath(path))
-}
-
 // loadAllRecords scans the jobs directory, recovering each record from
 // its newest valid file (main or .tmp). A record that is torn in both
 // places is reported, not silently dropped: job history must not vanish

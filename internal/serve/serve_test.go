@@ -26,7 +26,7 @@ type fakeEngine struct {
 	fail    error         // returned (with a partial outcome) when set
 }
 
-func (f *fakeEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string, every uint64, lim runctl.Limits, resume bool) (*Outcome, bool, error) {
+func (f *fakeEngine) Execute(ctx context.Context, spec JobSpec, lim runctl.Limits) (*Outcome, error) {
 	f.mu.Lock()
 	block, started, fail := f.block, f.started, f.fail
 	f.mu.Unlock()
@@ -38,11 +38,11 @@ func (f *fakeEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string,
 		case <-block:
 		case <-ctx.Done():
 			return &Outcome{MemFingerprint: "0xpartial", Partial: true, StopReason: "canceled"},
-				false, fmt.Errorf("fake: %w", simerr.ErrCanceled)
+				fmt.Errorf("fake: %w", simerr.ErrCanceled)
 		}
 	}
 	if fail != nil {
-		return &Outcome{Partial: true, StopReason: "failed"}, false, fail
+		return &Outcome{Partial: true, StopReason: "failed"}, fail
 	}
 	// Deterministic fingerprint derived from the spec so bit-correctness
 	// can be asserted without a real simulator.
@@ -51,7 +51,7 @@ func (f *fakeEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string,
 		StatsDigest:    "0xdead",
 		Events:         100,
 		Cycles:         200,
-	}, resume, nil
+	}, nil
 }
 
 func newTestServer(t *testing.T, eng Engine, opt Options) *Server {
@@ -344,7 +344,7 @@ func TestServePanickingEngineIsContained(t *testing.T) {
 
 type panicEngine struct{}
 
-func (panicEngine) Execute(context.Context, JobSpec, string, uint64, runctl.Limits, bool) (*Outcome, bool, error) {
+func (panicEngine) Execute(context.Context, JobSpec, runctl.Limits) (*Outcome, error) {
 	panic("kernel exploded")
 }
 
@@ -425,6 +425,13 @@ func TestServeRecoveryRequeuesUnfinished(t *testing.T) {
 	vq := waitState(t, s2, idQueued, StateDone)
 	if vq.Outcome == nil || vq.Outcome.MemFingerprint != "0xstencil-hwcc-0" {
 		t.Fatalf("requeued job outcome = %+v", vq.Outcome)
+	}
+	// Only the job that was running counts as a recovered rerun; the
+	// queued one simply runs for the first time.
+	rec := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := "cohesion_serve_jobs_resumed_total 1\n"; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("metrics missing %q in:\n%s", want, rec.Body.String())
 	}
 }
 

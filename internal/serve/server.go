@@ -51,28 +51,25 @@ type Outcome struct {
 }
 
 // Engine executes one job. The root cohesion package implements it over
-// RunWithCheckpoints/ResumeRun; unit tests fake it.
+// RunCtx; unit tests fake it.
 type Engine interface {
-	// Execute runs spec under lim, writing crash-safe checkpoints to
-	// ckptPath every ckptEvery events. When resume is true and ckptPath
-	// holds a usable snapshot, the engine continues from it instead of
-	// starting over — bit-identical either way, by the verified-replay
-	// contract. The bool reports whether a snapshot was actually used.
-	// Canceled and budget-ended jobs return a partial Outcome alongside
-	// the sentinel error.
-	Execute(ctx context.Context, spec JobSpec, ckptPath string, ckptEvery uint64, lim runctl.Limits, resume bool) (*Outcome, bool, error)
+	// Execute runs spec under lim from the first event. Runs are
+	// deterministic, so a job recovered from a previous process is
+	// simply executed again and comes out bit-identical. Canceled and
+	// budget-ended jobs return a partial Outcome alongside the sentinel
+	// error.
+	Execute(ctx context.Context, spec JobSpec, lim runctl.Limits) (*Outcome, error)
 }
 
 // Options configures a Server. The zero value of each field selects the
 // documented default.
 type Options struct {
-	StateDir        string        // job records + run checkpoints (required)
-	Workers         int           // concurrent simulations; 0 = GOMAXPROCS
-	QueueDepth      int           // admission queue beyond the workers; 0 = 16
-	CheckpointEvery uint64        // events between run checkpoints; 0 = 25000
-	MaxJobLimits    runctl.Limits // server-wide ceilings clamped onto every job
-	RetryAfter      time.Duration // advisory Retry-After on 429; 0 = 1s
-	Logf            func(format string, args ...any)
+	StateDir     string        // job records (required)
+	Workers      int           // concurrent simulations; 0 = GOMAXPROCS
+	QueueDepth   int           // admission queue beyond the workers; 0 = 16
+	MaxJobLimits runctl.Limits // server-wide ceilings clamped onto every job
+	RetryAfter   time.Duration // advisory Retry-After on 429; 0 = 1s
+	Logf         func(format string, args ...any)
 }
 
 // Errors the admission path distinguishes; the HTTP layer maps them to
@@ -149,19 +146,14 @@ func New(eng Engine, opt Options) (*Server, error) {
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = 16
 	}
-	if opt.CheckpointEvery == 0 {
-		opt.CheckpointEvery = 25_000
-	}
 	if opt.RetryAfter <= 0 {
 		opt.RetryAfter = time.Second
 	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	for _, dir := range []string{jobsDir(opt.StateDir), ckptDir(opt.StateDir)} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
+	if err := os.MkdirAll(jobsDir(opt.StateDir), 0o755); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -208,8 +200,8 @@ func (s *Server) recoverJobs() ([]string, error) {
 		case StateQueued:
 			requeue = append(requeue, j.ID)
 		case StateRunning:
-			// The previous process died mid-run; its checkpoint (if any)
-			// lets the engine resume instead of replaying from scratch.
+			// The previous process died or drained mid-run; the job is
+			// rerun from the start, which is bit-identical.
 			j.State = StateQueued
 			j.Resumed = true
 			requeue = append(requeue, j.ID)
@@ -284,7 +276,7 @@ func (s *Server) execute(id string) {
 	j, ok := s.jobs[id]
 	if !ok || j.State != StateQueued || s.draining {
 		// Canceled while queued, or the server is draining: leave the
-		// persisted record as-is (a draining server's queued jobs resume
+		// persisted record as-is (a draining server's queued jobs run
 		// on the next start).
 		s.mu.Unlock()
 		return
@@ -293,13 +285,13 @@ func (s *Server) execute(id string) {
 	j.StartedMS = nowMS()
 	ctx, cancel := context.WithCancel(s.ctx)
 	j.cancel = cancel
-	spec, resume := j.Spec, j.Resumed
+	spec, recovered := j.Spec, j.Resumed
 	rec := recordOf(j)
 	s.mu.Unlock()
 	defer cancel()
 
 	// The on-disk record must say "running" before the run starts, so a
-	// SIGKILL during the run is recovered as a resume.
+	// SIGKILL during the run is recovered as a rerun.
 	if err := saveRecord(s.opt.StateDir, rec); err != nil {
 		s.finish(id, nil, fmt.Errorf("serve: persisting job record: %w", err))
 		return
@@ -310,24 +302,24 @@ func (s *Server) execute(id string) {
 		WallBudget: time.Duration(spec.MaxWallMS) * time.Millisecond,
 	}, s.opt.MaxJobLimits)
 
-	out, usedCkpt, err := func() (out *Outcome, usedCkpt bool, err error) {
+	if recovered {
+		s.metrics.resumed()
+	}
+	out, err := func() (out *Outcome, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: job %s panicked: %v\n%s", simerr.ErrRunPanicked, id, r, debug.Stack())
 			}
 		}()
-		return s.eng.Execute(ctx, spec, ckptPath(s.opt.StateDir, id), s.opt.CheckpointEvery, lim, resume)
+		return s.eng.Execute(ctx, spec, lim)
 	}()
-	if usedCkpt {
-		s.metrics.resumed()
-	}
 	s.finish(id, out, err)
 }
 
 // finish moves a job to its terminal state, persists it, and updates the
 // metrics. A cancellation caused by server drain (rather than a client
 // DELETE) is *not* persisted: the on-disk record keeps saying "running"
-// so the next process resumes the job from its last checkpoint.
+// so the next process reruns the job.
 func (s *Server) finish(id string, out *Outcome, err error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -342,8 +334,8 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 		j.State = StateDone
 		j.Error = ""
 	case errors.Is(err, simerr.ErrCanceled) && !j.clientCanceled:
-		// Server-initiated stop (drain): the engine already wrote a final
-		// checkpoint at the stop point. Leave the job recoverable.
+		// Server-initiated stop (drain): discard the partial outcome and
+		// leave the job recoverable; the next process reruns it.
 		j.State = StateQueued
 		j.Resumed = true
 		j.Outcome = nil
@@ -353,7 +345,7 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 		j.State = StateCanceled
 		j.Error = err.Error()
 	default:
-		// Budget exhaustion, divergence, protocol failures, contained
+		// Budget exhaustion, protocol failures, contained
 		// panics: all terminal failures, with whatever partial outcome the
 		// engine salvaged.
 		j.State = StateFailed
@@ -365,10 +357,6 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 
 	if perr := saveRecord(s.opt.StateDir, rec); perr != nil {
 		s.opt.Logf("job %s: persisting terminal record: %v", id, perr)
-	}
-	if view.State == StateDone {
-		// The checkpoint has served its purpose; keep the state dir tidy.
-		removeCheckpoint(s.opt.StateDir, id)
 	}
 	s.metrics.finished(view)
 	s.opt.Logf("job %s %s (%s/%s)", id, view.State, view.Spec.Kernel, view.Spec.Mode)
@@ -398,7 +386,6 @@ func (s *Server) Cancel(id string) (JobView, bool) {
 		if err := saveRecord(s.opt.StateDir, rec); err != nil {
 			s.opt.Logf("job %s: persisting cancel: %v", id, err)
 		}
-		removeCheckpoint(s.opt.StateDir, id)
 		s.metrics.finished(view)
 		return view, true
 	case StateRunning:
@@ -442,10 +429,10 @@ func (s *Server) Draining() bool {
 
 // Drain gracefully stops the server: intake closes (Submit returns
 // ErrDraining, the HTTP layer 503s), running jobs are cooperatively
-// canceled — each writes a final checkpoint at its stop point — and the
-// worker pool is joined. Queued jobs are left persisted as queued; both
-// they and the interrupted running jobs resume on the next start,
-// bit-identically. ctx bounds the wait.
+// canceled and their records left saying running, and the worker pool
+// is joined. Queued jobs are left persisted as queued; both they and the
+// interrupted running jobs are rerun on the next start, bit-identically.
+// ctx bounds the wait.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -505,6 +492,4 @@ func idNumber(id string) uint64 {
 }
 
 func jobsDir(state string) string        { return filepath.Join(state, "jobs") }
-func ckptDir(state string) string        { return filepath.Join(state, "ckpt") }
-func ckptPath(state, id string) string   { return filepath.Join(ckptDir(state), id+".ckpt") }
 func recordPath(state, id string) string { return filepath.Join(jobsDir(state), id+".job") }

@@ -2,13 +2,13 @@
 // the simulator shaped like an inference-serving stack — admission
 // control with a bounded queue (429 + Retry-After under saturation),
 // per-job budgets clamped by server-wide ceilings (runctl), crash-safe
-// job records and run checkpoints (snapshot) so a SIGKILL'd server
-// resumes its queued and running jobs bit-identically on restart, and
-// Prometheus-style text metrics.
+// job records (snapshot) so a SIGKILL'd server reruns its queued and
+// running jobs on restart — bit-identically, since runs are
+// deterministic — and Prometheus-style text metrics.
 //
 // The package deliberately does not know how to build a machine: the
-// root cohesion package implements Engine (it owns RunConfig and the
-// checkpoint facade) and injects it, which also lets the unit tests
+// root cohesion package implements Engine (it owns RunConfig) and
+// injects it, which also lets the unit tests
 // drive every admission/cancel/drain path with a fake engine and no
 // simulation at all.
 package serve

@@ -1,27 +1,17 @@
-// Package snapshot is the checkpoint/restore substrate: a versioned,
-// checksummed file envelope with crash-safe atomic writes, plus the
-// serializable data types and per-layer digests that let a resumed run
-// prove it reconstructed the exact machine state the snapshot recorded.
+// Package snapshot is the crash-safe envelope for the state that lets
+// interrupted work pick up where it left off: job-service records,
+// completed experiment-sweep cells, and the fuzz campaign cursor. Each
+// file is a versioned, checksummed envelope written atomically.
 //
 // Crash-safety protocol. A snapshot is always written to <path>.tmp
 // first, fsynced, then renamed over <path>. A reader that finds <path>
 // torn (or missing) falls back to <path>.tmp; when both decode, the one
 // with the higher sequence number wins. A SIGKILL at any instant
 // therefore leaves at most one torn file and at least one complete,
-// checksummed snapshot to resume from.
+// checksummed snapshot to recover from.
 //
-// Determinism contract. The simulator's event loop is a closure-driven
-// discrete-event engine whose core programs run as coroutines, so a
-// snapshot does not serialize continuations. Instead it records the
-// run's full data state (memory image, cache and directory entries,
-// region tables, stats) plus a per-layer digest vector at an exact
-// executed-event count. Restore rebuilds the machine from the recorded
-// spec and replays deterministically to that event count — replay from
-// the same seeds is bit-exact, which PRs 1-6 lock in with fingerprint
-// tests — then verifies every layer digest before continuing. A resumed
-// run is therefore bit-identical to an uninterrupted one, and any
-// nondeterminism is caught at the resume point and named by layer
-// instead of silently corrupting results.
+// A single simulation has no snapshot kind: runs are deterministic, so
+// an interrupted run is simply rerun and comes out bit-identical.
 package snapshot
 
 import (
@@ -46,7 +36,6 @@ type Kind string
 
 // Registered snapshot kinds.
 const (
-	KindRun   Kind = "run"   // one simulation (RunSnapshot at the root)
 	KindSweep Kind = "sweep" // an experiment sweep's per-cell results
 	KindFuzz  Kind = "fuzz"  // a fuzz batch's progress counters
 	KindJob   Kind = "job"   // a job-service record (internal/serve)
@@ -58,10 +47,6 @@ var (
 	ErrVersion     = errors.New("snapshot: unsupported snapshot version")
 	ErrKind        = errors.New("snapshot: wrong snapshot kind")
 	ErrChecksum    = errors.New("snapshot: checksum mismatch (torn or corrupted write)")
-
-	// ErrDiverged reports that a resumed run's replayed state did not
-	// match the digests recorded in its snapshot (see Digests.Diff).
-	ErrDiverged = errors.New("snapshot: resumed run diverged from recorded state")
 )
 
 // Envelope is the on-disk frame around every snapshot payload.

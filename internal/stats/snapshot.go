@@ -9,10 +9,10 @@ import (
 )
 
 // Snapshot is the serializable image of a Run's cumulative counters —
-// everything a checkpoint must persist so a resumed run reports the same
-// statistics as an uninterrupted one. The observability attachments
-// (Trace, Sink, Coverage, Metrics) are deliberately excluded: they are
-// live instruments re-attached by the resuming process, not state.
+// everything a sweep checkpoint must persist so a cell served from it
+// reports the same statistics as a fresh run. The observability
+// attachments (Trace, Sink, Coverage, Metrics) are deliberately
+// excluded: they are live instruments, not state.
 type Snapshot struct {
 	Messages   [msg.NumKinds]uint64 `json:"messages"`
 	ProbesSent uint64               `json:"probes_sent"`
@@ -147,7 +147,7 @@ func (s Snapshot) ToRun() Run {
 	}
 }
 
-// Digest hashes every cumulative counter, giving the checkpoint layer a
+// Digest hashes every cumulative counter, giving results and tests a
 // cheap equality probe for the stats layer. JSON field order is fixed by
 // the Snapshot struct, so the digest is deterministic.
 func (r *Run) Digest() uint64 {

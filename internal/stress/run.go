@@ -86,12 +86,6 @@ type RunOpts struct {
 	// wall clock and memory best-effort); the run ends with
 	// simerr.ErrBudgetExhausted when one trips.
 	Limits runctl.Limits
-	// CheckpointAt adds one-shot deterministic checkpoint firing points
-	// (executed-event counts) on top of Limits.CheckpointAt.
-	CheckpointAt []uint64
-	// OnCheckpoint, when non-nil, runs between events at every checkpoint
-	// point with the quiescent machine; returning an error aborts the run.
-	OnCheckpoint func(events, cycle uint64, m *machine.Machine) error
 }
 
 // RunProgram executes a stress program to completion or first failure
@@ -144,16 +138,7 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	limits := opts.Limits
-	if len(opts.CheckpointAt) > 0 {
-		limits.CheckpointAt = append(append([]uint64(nil), limits.CheckpointAt...), opts.CheckpointAt...)
-	}
-	if opts.OnCheckpoint != nil {
-		m.SetCheckpointFunc(func(events, cycle uint64) error {
-			return opts.OnCheckpoint(events, cycle, m)
-		})
-	}
-	err = m.SimulateCtx(ctx, maxCycles, limits)
+	err = m.SimulateCtx(ctx, maxCycles, opts.Limits)
 	if err == nil {
 		err = m.CheckInvariants()
 	}

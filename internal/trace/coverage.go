@@ -240,9 +240,9 @@ func (c *Coverage) Uncovered() []string {
 }
 
 // CountsByName exports every fired edge's count keyed by its stable
-// catalog name. Checkpoints persist this map (names survive edge-ID
-// renumbering across versions) and self-checks compare it to prove a
-// resumed run marked the same edges the straight-through run did.
+// catalog name. Fuzz checkpoints persist this map (names survive edge-ID
+// renumbering across versions), and determinism tests compare it to
+// prove repeat runs marked the same edges.
 func (c *Coverage) CountsByName() map[string]uint64 {
 	out := make(map[string]uint64)
 	for i := range c.counts {

@@ -2,7 +2,6 @@ package cohesion
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"cohesion/internal/serve"
-	"cohesion/internal/snapshot"
 )
 
 // JobSpec is the wire form of one service job (see internal/serve).
@@ -42,8 +40,8 @@ type ServeOptions struct {
 	// Addr is the listen address for Serve ("127.0.0.1:0" picks a port).
 	Addr string
 
-	// StateDir holds job records and run checkpoints; a server restarted
-	// on the same directory resumes its unfinished jobs bit-identically.
+	// StateDir holds job records; a server restarted on the same
+	// directory reruns its unfinished jobs, bit-identically.
 	StateDir string
 
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS); QueueDepth
@@ -51,10 +49,6 @@ type ServeOptions struct {
 	// queue sheds load with 429 + Retry-After.
 	Workers    int
 	QueueDepth int
-
-	// CheckpointEvery is the crash-safe snapshot interval in executed
-	// events for every job (0 = 25000).
-	CheckpointEvery uint64
 
 	// MaxJobLimits are server-wide ceilings clamped onto every job's
 	// requested budgets (zero fields impose nothing).
@@ -86,13 +80,12 @@ func NewJobServer(opt ServeOptions) (*JobServer, error) {
 		opt.DrainTimeout = 30 * time.Second
 	}
 	s, err := serve.New(jobEngine{}, serve.Options{
-		StateDir:        opt.StateDir,
-		Workers:         opt.Workers,
-		QueueDepth:      opt.QueueDepth,
-		CheckpointEvery: opt.CheckpointEvery,
-		MaxJobLimits:    opt.MaxJobLimits,
-		RetryAfter:      opt.RetryAfter,
-		Logf:            opt.Logf,
+		StateDir:     opt.StateDir,
+		Workers:      opt.Workers,
+		QueueDepth:   opt.QueueDepth,
+		MaxJobLimits: opt.MaxJobLimits,
+		RetryAfter:   opt.RetryAfter,
+		Logf:         opt.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -115,15 +108,16 @@ func (js *JobServer) Jobs() []JobView { return js.srv.Jobs() }
 // Cancel cancels a job (queued: immediately; running: cooperatively).
 func (js *JobServer) Cancel(id string) (JobView, bool) { return js.srv.Cancel(id) }
 
-// Drain gracefully stops the server: intake closes, running jobs
-// checkpoint and stop, queued jobs stay persisted for the next start.
+// Drain gracefully stops the server: intake closes, running jobs stop,
+// and both they and the queued jobs stay persisted, to be rerun on the
+// next start.
 func (js *JobServer) Drain(ctx context.Context) error { return js.srv.Drain(ctx) }
 
 // Serve runs the full service lifecycle: listen on opt.Addr, serve the
 // job API, and on ctx cancellation (SIGTERM in cohesion-serve) drain
-// gracefully — running jobs write a final checkpoint and everything
-// unfinished resumes on the next start. It returns once the drain and
-// listener shutdown complete.
+// gracefully — running jobs stop and everything unfinished is rerun on
+// the next start. It returns once the drain and listener shutdown
+// complete.
 func Serve(ctx context.Context, opt ServeOptions) error {
 	js, err := NewJobServer(opt)
 	if err != nil {
@@ -139,7 +133,12 @@ func Serve(ctx context.Context, opt ServeOptions) error {
 	}
 	logf("listening on %s", ln.Addr())
 
-	hsrv := &http.Server{Handler: js.Handler()}
+	hsrv := &http.Server{
+		Handler:           js.Handler(),
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hsrv.Serve(ln) }()
 
@@ -148,8 +147,9 @@ func Serve(ctx context.Context, opt ServeOptions) error {
 		return err
 	case <-ctx.Done():
 	}
-	logf("draining (timeout %v)", opt.DrainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), opt.DrainTimeout)
+	// js.opt, not opt: NewJobServer filled in the DrainTimeout default.
+	logf("draining (timeout %v)", js.opt.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), js.opt.DrainTimeout)
 	defer cancel()
 	drainErr := js.Drain(drainCtx)
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -162,43 +162,33 @@ func Serve(ctx context.Context, opt ServeOptions) error {
 	return nil
 }
 
-// jobEngine implements serve.Engine over the checkpointing facade: every
-// job runs with crash-safe snapshots, and a recovered job resumes from
-// its last checkpoint through the verified-replay path.
+// HTTP connection timeouts for Serve. Without them a client that
+// trickles header bytes, or never finishes its body, holds a connection
+// and its goroutine forever. A job body is a few hundred bytes, so the
+// bounds are generous for any honest client.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// headerTimeout is the ReadHeaderTimeout Serve uses; a variable only so
+// tests can shorten it.
+var headerTimeout = readHeaderTimeout
+
+// jobEngine implements serve.Engine over RunCtx. Runs are
+// deterministic, so a job recovered after a crash or drain is simply
+// run again from the first event and comes out bit-identical.
 type jobEngine struct{}
 
-func (jobEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string, ckptEvery uint64, lim RunLimits, resume bool) (*JobOutcome, bool, error) {
-	if resume {
-		res, info, err := ResumeRun(ctx, ckptPath, ResumeOptions{Every: ckptEvery, Limits: lim})
-		switch {
-		case err == nil:
-			return outcomeOf(res, nil), true, nil
-		case errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted):
-			return outcomeOf(res, err), true, err
-		case errors.Is(err, snapshot.ErrDiverged):
-			// A divergent resume must fail loudly, never silently re-run:
-			// it means the snapshot and the replay disagree about history.
-			return nil, true, err
-		case info == nil:
-			// No usable snapshot (killed before the first checkpoint, or
-			// both files torn): deterministic replay from scratch is
-			// bit-identical anyway.
-		default:
-			// Snapshot loaded but the resume was rejected (e.g. the job's
-			// own event budget ends at or before the snapshot point). A
-			// fresh deterministic run reproduces the same end state.
-		}
-	}
+func (jobEngine) Execute(ctx context.Context, spec JobSpec, lim RunLimits) (*JobOutcome, error) {
 	rc, err := specRunConfig(spec)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	rc.Limits = lim
-	res, err := RunWithCheckpoints(ctx, rc, CheckpointConfig{Path: ckptPath, Every: ckptEvery})
-	if err != nil {
-		return outcomeOf(res, err), false, err
-	}
-	return outcomeOf(res, nil), false, nil
+	res, err := RunCtx(ctx, rc)
+	return outcomeOf(res, err), err
 }
 
 // specRunConfig maps a validated job spec onto a RunConfig.
@@ -225,7 +215,7 @@ func outcomeOf(res *Result, stopErr error) *JobOutcome {
 	}
 	out := &JobOutcome{
 		MemFingerprint: fmt.Sprintf("%#016x", res.MemFingerprint),
-		StatsDigest:    fmt.Sprintf("%#016x", statsDigestOf(&res.Stats)),
+		StatsDigest:    fmt.Sprintf("%#016x", res.Stats.Digest()),
 		Cycles:         res.Stats.Cycles,
 		Events:         res.Stats.Events,
 		Instructions:   res.Stats.Instructions,

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -243,5 +245,78 @@ func TestServeE2ECancelMidRun(t *testing.T) {
 	}
 	if rb.Outcome.Events == 0 {
 		t.Error("partial outcome reports zero executed events")
+	}
+}
+
+// TestServeSlowHeaderClientClosed opens a raw TCP connection to Serve and
+// trickles header bytes without ever ending the header block. The server
+// must close the connection once the header timeout passes, not hold it
+// (and its goroutine) for as long as the client keeps trickling.
+func TestServeSlowHeaderClientClosed(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	saved := headerTimeout
+	headerTimeout = timeout
+	t.Cleanup(func() { headerTimeout = saved })
+
+	addrc := make(chan string, 1)
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(ctx, ServeOptions{
+			Addr:     "127.0.0.1:0",
+			StateDir: t.TempDir(),
+			Workers:  1,
+			Logf: func(format string, args ...any) {
+				if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "listening on ") {
+					addrc <- strings.TrimPrefix(line, "listening on ")
+				}
+			},
+		})
+	}()
+	t.Cleanup(func() {
+		stop()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-served:
+		t.Fatalf("Serve returned before listening: %v", err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Slow: "); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, conn)
+		closed <- err
+	}()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	giveUp := time.After(10 * timeout)
+	for {
+		select {
+		case <-closed:
+			if held := time.Since(start); held < timeout {
+				t.Fatalf("connection closed after %v, before the %v header timeout", held, timeout)
+			}
+			return
+		case <-tick.C:
+			// One more header byte: progress that must not extend the
+			// header deadline. A write error means the server already
+			// closed; the reader sees that next.
+			_, _ = conn.Write([]byte("a"))
+		case <-giveUp:
+			t.Fatalf("server still held a trickling connection after %v", 10*timeout)
+		}
 	}
 }
